@@ -1,9 +1,9 @@
 //! Experiment harness: reproduces every table and figure of the paper's
 //! evaluation.
 //!
-//! Each `fig*` binary in `src/bin/` regenerates one figure; `run_all`
-//! regenerates everything and writes text reports under
-//! `target/experiments/`. The shared machinery lives here:
+//! `run_all [FIGURE...]` regenerates the named figures (every figure when
+//! none is named) and writes text reports under `target/experiments/`.
+//! The shared machinery lives here:
 //!
 //! * [`harness`] — parallel sweep runner (N workloads × M configurations),
 //!   scale controls via `ITPX_*` environment variables.
@@ -23,6 +23,9 @@
 //!   warn once instead of being silently ignored).
 //! * [`figures`] — one report builder per figure, all driven by a shared
 //!   [`campaign::Campaign`].
+//! * [`gate`] — the regression gates (`bench_gate` binary): campaign
+//!   cold/warm, tiered horizon, sharding and throughput, each folding one
+//!   section into `BENCH_campaign.json`.
 //! * [`report`] — table formatting, violin-style distribution summaries,
 //!   geomean aggregation, and report files.
 //! * [`experiments`] — one module per paper figure, returning structured
@@ -36,6 +39,7 @@ pub mod csv;
 pub mod env;
 pub mod experiments;
 pub mod figures;
+pub mod gate;
 pub mod harness;
 pub mod plot;
 pub mod report;

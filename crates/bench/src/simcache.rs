@@ -17,9 +17,8 @@
 //!
 //! Persistence is layered on the [`crate::store::SegmentStore`]: entries
 //! append to single-writer segment files that any number of concurrent
-//! reader processes share lock-free, with legacy flat `<key>.bin` files
-//! from the pre-segment layout still readable. The entry layout itself
-//! (v4) is unchanged by the segmentation — only the container moved.
+//! reader processes share lock-free. The entry layout itself (v4) is
+//! unchanged by the segmentation — only the container moved.
 //! The cache toggle comes from `ITPX_SIMCACHE` via [`crate::env`] (only
 //! `0`/`false`/`off` disable it; junk values warn and keep the default),
 //! and `ITPX_SIMCACHE_MAX_MB` caps the on-disk footprint (oldest
@@ -29,8 +28,6 @@ use crate::store::{SegmentStore, StoreConfig};
 use itpx_cpu::{LevelReport, SimulationOutput, ThreadOutput, WalkerSummary};
 use itpx_trace::TierSchedule;
 use itpx_types::{Fnv1a, LevelId, OnlineMean, StructStats};
-#[cfg(test)]
-use std::path::Path;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -170,8 +167,8 @@ impl SimCache {
 }
 
 /// Encodes one fully self-validating v4 entry: magic, version, key,
-/// payload checksum, payload. This is the byte layout shared by legacy
-/// flat files and segment records.
+/// payload checksum, payload. This is the byte layout of a segment
+/// record.
 pub(crate) fn entry_bytes(key: u64, out: &SimulationOutput) -> Vec<u8> {
     let mut payload = Vec::with_capacity(512);
     encode_output(&mut payload, out);
@@ -205,9 +202,8 @@ pub(crate) fn validate_entry_bytes(bytes: &[u8]) -> Option<u64> {
     }
 }
 
-/// Decodes entry bytes previously produced by [`entry_bytes`] (or the
-/// legacy flat-file writer), rejecting anything that does not validate
-/// as an entry for `key`.
+/// Decodes entry bytes previously produced by [`entry_bytes`], rejecting
+/// anything that does not validate as an entry for `key`.
 pub(crate) fn decode_entry_bytes(bytes: &[u8], key: u64) -> Option<SimulationOutput> {
     let mut r = Reader { bytes };
     if r.take(MAGIC.len())? != MAGIC.as_slice() {
@@ -228,28 +224,12 @@ pub(crate) fn decode_entry_bytes(bytes: &[u8], key: u64) -> Option<SimulationOut
     }
 }
 
-/// Writes one legacy-layout flat file — kept for the compatibility tests
-/// that pin "pre-segment entries still serve".
-#[cfg(test)]
-fn write_entry(path: &Path, key: u64, out: &SimulationOutput) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    std::fs::write(path, entry_bytes(key, out))
-}
-
 /// FNV-1a over the serialized payload. Structural decoding alone accepts a
 /// bit flip inside any fixed-width counter; this rejects it.
 fn payload_checksum(payload: &[u8]) -> u64 {
     let mut h = Fnv1a::new();
     h.write_bytes(payload);
     h.finish()
-}
-
-/// Reads and validates one legacy-layout flat file.
-#[cfg(test)]
-fn read_entry(path: &Path, key: u64) -> Option<SimulationOutput> {
-    decode_entry_bytes(&std::fs::read(path).ok()?, key)
 }
 
 fn encode_output(buf: &mut Vec<u8>, out: &SimulationOutput) {
@@ -469,6 +449,7 @@ mod tests {
     use itpx_core::Preset;
     use itpx_cpu::{Simulation, SystemConfig};
     use itpx_trace::WorkloadSpec;
+    use std::path::Path;
 
     fn sample_output() -> SimulationOutput {
         let w = WorkloadSpec::server_like(3)
@@ -486,67 +467,47 @@ mod tests {
     #[test]
     fn round_trip_is_exact() {
         let out = sample_output();
-        let dir = temp_dir("roundtrip");
-        let path = dir.join("0000000000000007.bin");
-        write_entry(&path, 7, &out).expect("write");
-        let back = read_entry(&path, 7).expect("read");
+        let back = decode_entry_bytes(&entry_bytes(7, &out), 7).expect("decode");
         assert_eq!(out, back, "serialized output must round-trip exactly");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn wrong_key_is_rejected() {
-        let out = sample_output();
-        let dir = temp_dir("wrongkey");
-        let path = dir.join("entry.bin");
-        write_entry(&path, 7, &out).expect("write");
-        assert!(read_entry(&path, 8).is_none());
-        let _ = std::fs::remove_dir_all(&dir);
+        let bytes = entry_bytes(7, &sample_output());
+        assert!(decode_entry_bytes(&bytes, 8).is_none());
+        assert_eq!(validate_entry_bytes(&bytes), Some(7));
     }
 
     #[test]
     fn corrupted_and_stale_files_fall_back() {
         let out = sample_output();
-        let dir = temp_dir("corrupt");
-        let path = dir.join("entry.bin");
-        write_entry(&path, 7, &out).expect("write");
-        let good = std::fs::read(&path).expect("read bytes");
+        let good = entry_bytes(7, &out);
 
         // Truncated.
-        std::fs::write(&path, &good[..good.len() / 2]).expect("truncate");
-        assert!(read_entry(&path, 7).is_none());
+        assert!(decode_entry_bytes(&good[..good.len() / 2], 7).is_none());
 
         // Trailing garbage.
         let mut long = good.clone();
         long.push(0xEE);
-        std::fs::write(&path, &long).expect("extend");
-        assert!(read_entry(&path, 7).is_none());
+        assert!(decode_entry_bytes(&long, 7).is_none());
 
         // Stale schema version.
         let mut stale = good.clone();
         stale[8] = VERSION as u8 + 1;
-        std::fs::write(&path, &stale).expect("restamp");
-        assert!(read_entry(&path, 7).is_none());
+        assert!(decode_entry_bytes(&stale, 7).is_none());
 
         // Bad magic.
         let mut bad = good.clone();
         bad[0] ^= 0xFF;
-        std::fs::write(&path, &bad).expect("remagic");
-        assert!(read_entry(&path, 7).is_none());
+        assert!(decode_entry_bytes(&bad, 7).is_none());
 
         // The untouched bytes still decode.
-        std::fs::write(&path, &good).expect("restore");
-        assert_eq!(read_entry(&path, 7), Some(out));
-        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(decode_entry_bytes(&good, 7), Some(out));
     }
 
     #[test]
     fn bit_flips_anywhere_in_the_payload_are_rejected() {
-        let out = sample_output();
-        let dir = temp_dir("bitflip");
-        let path = dir.join("entry.bin");
-        write_entry(&path, 7, &out).expect("write");
-        let good = std::fs::read(&path).expect("read bytes");
+        let good = entry_bytes(7, &sample_output());
         // Header is magic(8) + version(4) + key(8) + checksum(8).
         let payload_start = 28;
         assert!(good.len() > payload_start);
@@ -556,18 +517,15 @@ mod tests {
         for offset in [payload_start, payload_start + 9, good.len() - 1] {
             let mut bad = good.clone();
             bad[offset] ^= 0x01;
-            std::fs::write(&path, &bad).expect("corrupt");
             assert!(
-                read_entry(&path, 7).is_none(),
+                decode_entry_bytes(&bad, 7).is_none(),
                 "bit flip at byte {offset} must be rejected"
             );
         }
         // A flipped checksum (with an intact payload) is rejected too.
         let mut bad = good;
         bad[20] ^= 0x01;
-        std::fs::write(&path, &bad).expect("corrupt checksum");
-        assert!(read_entry(&path, 7).is_none());
-        let _ = std::fs::remove_dir_all(&dir);
+        assert!(decode_entry_bytes(&bad, 7).is_none());
     }
 
     /// The one on-disk segment file a fresh cache wrote, by construction.
@@ -612,25 +570,6 @@ mod tests {
             let next = SimCache::new(Some(dir.clone()));
             assert_eq!(next.get(9), Some(out.clone()), "{label} entry rewritten");
         }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// Entries written by the pre-segment flat-file layout must keep
-    /// serving: the v4 entry bytes are unchanged, only the container
-    /// around them moved.
-    #[test]
-    fn legacy_flat_entries_still_serve() {
-        let out = sample_output();
-        let dir = temp_dir("legacy");
-        let key = 0x1234_5678_9abc_def0_u64;
-        let path = dir.join(format!("{key:016x}.bin"));
-        write_entry(&path, key, &out).expect("write legacy entry");
-
-        let cache = SimCache::new(Some(dir.clone()));
-        assert_eq!(cache.get(key), Some(out), "legacy entry serves");
-        assert_eq!((cache.hits(), cache.misses()), (1, 0));
-        // A wrong key against the same file stays a miss.
-        assert_eq!(cache.get(key ^ 1), None);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

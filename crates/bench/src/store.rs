@@ -1,13 +1,12 @@
 //! The segmented result store under [`crate::simcache::SimCache`].
 //!
-//! The original store kept one flat file per key, which was safe but
-//! unbounded and wasteful for campaign-as-a-service workloads: millions
-//! of small files, no way to prune, and no append locality. This module
-//! restructures persistence into *segments* — append-only files under
-//! `<dir>/segments/`, each owned by exactly one writer — while keeping
-//! every entry in the unchanged v4 layout (magic, version, key,
-//! checksum, payload; see [`crate::simcache`]) so legacy flat files
-//! remain readable.
+//! Persistence is split into *segments* — append-only files under
+//! `<dir>/segments/`, each owned by exactly one writer — holding entries
+//! in the v4 layout (magic, version, key, checksum, payload; see
+//! [`crate::simcache`]). One flat file per key, the layout before
+//! segments, was unbounded and wasteful for campaign-as-a-service
+//! workloads (millions of small files, no pruning, no append locality);
+//! such files are no longer read, which costs at most a re-simulation.
 //!
 //! Concurrency model, designed for many processes sharing one
 //! directory:
@@ -50,7 +49,7 @@ const MAX_SEQ_PROBES: u32 = 10_000;
 /// Size/rollover configuration for a [`SegmentStore`].
 #[derive(Debug, Clone, Copy)]
 pub struct StoreConfig {
-    /// Total on-disk budget (segments + legacy flat files); `None` is
+    /// Total on-disk budget of the segments; `None` is
     /// unbounded. Enforced after each append by pruning whole segments
     /// oldest-first.
     pub max_bytes: Option<u64>,
@@ -135,28 +134,16 @@ impl SegmentStore {
         self.dir.join("segments")
     }
 
-    fn legacy_file(&self, key: u64) -> PathBuf {
-        self.dir.join(format!("{key:016x}.bin"))
-    }
-
     /// Looks `key` up: index first, then a directory refresh (picking up
-    /// appends from other processes), then the legacy flat file. Every
-    /// failure mode — pruned segment, torn record, corrupt bytes —
-    /// degrades to `None`.
+    /// appends from other processes). Every failure mode — pruned
+    /// segment, torn record, corrupt bytes — degrades to `None`.
     pub fn get(&self, key: u64) -> Option<Vec<u8>> {
         let mut state = self.state.lock().expect("segment store poisoned");
         if let Some(bytes) = self.read_indexed(&mut state, key) {
             return Some(bytes);
         }
         self.refresh(&mut state);
-        if let Some(bytes) = self.read_indexed(&mut state, key) {
-            return Some(bytes);
-        }
-        drop(state);
-        // Legacy flat file from the pre-segment store layout.
-        let bytes = std::fs::read(self.legacy_file(key)).ok()?;
-        crate::simcache::validate_entry_bytes(&bytes).filter(|&k| k == key)?;
-        Some(bytes)
+        self.read_indexed(&mut state, key)
     }
 
     /// Reads and re-validates the indexed record for `key`, dropping the
@@ -284,28 +271,17 @@ impl SegmentStore {
         }
     }
 
-    /// Total bytes on disk: segments plus legacy flat files.
+    /// Total bytes of the segments on disk.
     pub fn disk_bytes(&self) -> u64 {
-        let file_len = |p: &Path| std::fs::metadata(p).map(|m| m.len()).unwrap_or(0);
-        let mut total = 0;
-        for dir in [self.segments_dir(), self.dir.clone()] {
-            let Ok(entries) = std::fs::read_dir(&dir) else {
-                continue;
-            };
-            for path in entries.flatten().map(|e| e.path()) {
-                let seg = path.extension().is_some_and(|e| e == "seg");
-                let legacy = path.extension().is_some_and(|e| e == "bin");
-                if seg || legacy {
-                    total += file_len(&path);
-                }
-            }
-        }
-        total
+        prunable_files(&self.segments_dir())
+            .iter()
+            .map(|v| v.1)
+            .sum()
     }
 
-    /// Unlinks oldest files first until the store fits `max_bytes`:
-    /// inactive segments by modification time (the active writer segment
-    /// is never pruned), then legacy flat files. Unlinking is safe under
+    /// Unlinks inactive segments oldest first (by modification time; the
+    /// active writer segment is never pruned) until the store fits
+    /// `max_bytes`. Unlinking is safe under
     /// concurrency — a reader mid-record keeps its open fd; a reader
     /// arriving later gets a failed open and reports a miss. All IO
     /// errors are swallowed: pruning must never break a lookup.
@@ -318,9 +294,7 @@ impl SegmentStore {
             return;
         }
         let active = state.writer.as_ref().map(|w| w.path.clone());
-        let mut victims = prunable_files(&self.segments_dir(), "seg");
-        victims.extend(prunable_files(&self.dir, "bin"));
-        for (path, len, _) in victims {
+        for (path, len, _) in prunable_files(&self.segments_dir()) {
             if total <= cap {
                 break;
             }
@@ -336,13 +310,13 @@ impl SegmentStore {
     }
 }
 
-/// Files under `dir` with extension `ext`, oldest first (modification
+/// Segment files under `dir`, oldest first (modification
 /// time, then name for a stable order on coarse clocks). The mtime is
 /// prune *ordering* only — it never feeds a cache key or a payload.
 // itpx-allow: std-time prune-age ordering only, never feeds cache keys or persisted results
 type Victim = (PathBuf, u64, std::time::SystemTime);
 
-fn prunable_files(dir: &Path, ext: &str) -> Vec<Victim> {
+fn prunable_files(dir: &Path) -> Vec<Victim> {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return Vec::new();
     };
@@ -350,7 +324,7 @@ fn prunable_files(dir: &Path, ext: &str) -> Vec<Victim> {
         .flatten()
         .filter_map(|e| {
             let path = e.path();
-            if path.extension().is_none_or(|x| x != ext) {
+            if path.extension().is_none_or(|x| x != "seg") {
                 return None;
             }
             let meta = e.metadata().ok()?;

@@ -10,7 +10,7 @@
 //! Stochastic policies are built from fixed seeds; the registry is fully
 //! deterministic.
 
-use crate::adaptive::AdaptiveXptp;
+use crate::adaptive::{AdaptiveXptp, XptpSwitch};
 use crate::extension::XptpEmissary;
 use crate::itp::{Itp, ItpParams};
 use crate::xptp::{Xptp, XptpParams};
@@ -84,173 +84,54 @@ pub fn xptp_params_for(ways: usize) -> XptpParams {
     }
 }
 
+/// One [`PolicyEntry`] from a single constructor expression over the
+/// `sets`/`ways` closure arguments: `build` boxes the concrete policy as
+/// a trait object and `build_engine` converts the same concrete policy
+/// into its enum variant. `build` deliberately does not box the engine,
+/// so `engine_equivalence` compares two independent dispatch paths.
+macro_rules! entry {
+    ($name:literal, $baseline:expr, $pow2:literal, |$s:tt, $w:tt| $ctor:expr) => {
+        PolicyEntry {
+            name: $name,
+            baseline: $baseline,
+            pow2_ways_only: $pow2,
+            build: |$s, $w| Box::new($ctor),
+            build_engine: |$s, $w| $ctor.into(),
+        }
+    };
+}
+
 /// Every cache replacement policy in the workspace (the Table 2 field, the
 /// LLC comparators, and the paper's L2C proposals and extensions).
 pub fn cache_policies() -> Vec<PolicyEntry<CacheMeta>> {
     vec![
-        PolicyEntry {
-            name: "lru",
-            baseline: None,
-            pow2_ways_only: false,
-            build: |s, w| Box::new(Lru::new(s, w)),
-            build_engine: |s, w| Lru::new(s, w).into(),
-        },
-        PolicyEntry {
-            name: "tree-plru",
-            baseline: None,
-            pow2_ways_only: true,
-            build: |s, w| Box::new(TreePlru::new(s, w)),
-            build_engine: |s, w| TreePlru::new(s, w).into(),
-        },
-        PolicyEntry {
-            name: "random",
-            baseline: None,
-            pow2_ways_only: false,
-            build: |_, w| Box::new(RandomEvict::new(w, REGISTRY_SEED)),
-            build_engine: |_, w| RandomEvict::new(w, REGISTRY_SEED).into(),
-        },
-        PolicyEntry {
-            name: "srrip",
-            baseline: None,
-            pow2_ways_only: false,
-            build: |s, w| Box::new(Srrip::new(s, w)),
-            build_engine: |s, w| Srrip::new(s, w).into(),
-        },
-        PolicyEntry {
-            name: "brrip",
-            baseline: None,
-            pow2_ways_only: false,
-            build: |s, w| Box::new(Brrip::new(s, w, REGISTRY_SEED)),
-            build_engine: |s, w| Brrip::new(s, w, REGISTRY_SEED).into(),
-        },
-        PolicyEntry {
-            name: "drrip",
-            baseline: None,
-            pow2_ways_only: false,
-            build: |s, w| Box::new(Drrip::new(s, w, REGISTRY_SEED)),
-            build_engine: |s, w| Drrip::new(s, w, REGISTRY_SEED).into(),
-        },
-        PolicyEntry {
-            name: "dip",
-            baseline: Some("lru"),
-            pow2_ways_only: false,
-            build: |s, w| Box::new(Dip::new(s, w, REGISTRY_SEED)),
-            build_engine: |s, w| Dip::new(s, w, REGISTRY_SEED).into(),
-        },
-        PolicyEntry {
-            name: "ship",
-            baseline: None,
-            pow2_ways_only: false,
-            build: |s, w| Box::new(Ship::new(s, w)),
-            build_engine: |s, w| Ship::new(s, w).into(),
-        },
-        PolicyEntry {
-            name: "tship",
-            baseline: Some("ship"),
-            pow2_ways_only: false,
-            build: |s, w| Box::new(TShip::new(s, w)),
-            build_engine: |s, w| TShip::new(s, w).into(),
-        },
-        PolicyEntry {
-            name: "mockingjay",
-            baseline: None,
-            pow2_ways_only: false,
-            build: |s, w| Box::new(Mockingjay::new(s, w)),
-            build_engine: |s, w| Mockingjay::new(s, w).into(),
-        },
-        PolicyEntry {
-            name: "ptp",
-            baseline: Some("lru"),
-            pow2_ways_only: false,
-            build: |s, w| Box::new(Ptp::new(s, w)),
-            build_engine: |s, w| Ptp::new(s, w).into(),
-        },
-        PolicyEntry {
-            name: "tdrrip",
-            baseline: Some("srrip"),
-            pow2_ways_only: false,
-            build: |s, w| Box::new(Tdrrip::new(s, w, REGISTRY_SEED)),
-            build_engine: |s, w| Tdrrip::new(s, w, REGISTRY_SEED).into(),
-        },
-        PolicyEntry {
-            name: "xptp",
-            baseline: Some("lru"),
-            pow2_ways_only: false,
-            build: |s, w| Box::new(Xptp::new(s, w, xptp_params_for(w))),
-            build_engine: |s, w| Xptp::new(s, w, xptp_params_for(w)).into(),
-        },
-        PolicyEntry {
-            name: "xptp/lru",
-            baseline: Some("lru"),
-            pow2_ways_only: false,
-            build: |s, w| {
-                Box::new(AdaptiveXptp::new(
-                    s,
-                    w,
-                    xptp_params_for(w),
-                    crate::adaptive::XptpSwitch::new(),
-                ))
-            },
-            build_engine: |s, w| {
-                AdaptiveXptp::new(s, w, xptp_params_for(w), crate::adaptive::XptpSwitch::new())
-                    .into()
-            },
-        },
-        PolicyEntry {
-            name: "xptp+emissary",
-            baseline: Some("lru"),
-            pow2_ways_only: false,
-            build: |s, w| Box::new(XptpEmissary::new(s, w, xptp_params_for(w))),
-            build_engine: |s, w| XptpEmissary::new(s, w, xptp_params_for(w)).into(),
-        },
+        entry! { "lru", None, false, |s, w| Lru::new(s, w) },
+        entry! { "tree-plru", None, true, |s, w| TreePlru::new(s, w) },
+        entry! { "random", None, false, |_, w| RandomEvict::new(w, REGISTRY_SEED) },
+        entry! { "srrip", None, false, |s, w| Srrip::new(s, w) },
+        entry! { "brrip", None, false, |s, w| Brrip::new(s, w, REGISTRY_SEED) },
+        entry! { "drrip", None, false, |s, w| Drrip::new(s, w, REGISTRY_SEED) },
+        entry! { "dip", Some("lru"), false, |s, w| Dip::new(s, w, REGISTRY_SEED) },
+        entry! { "ship", None, false, |s, w| Ship::new(s, w) },
+        entry! { "tship", Some("ship"), false, |s, w| TShip::new(s, w) },
+        entry! { "mockingjay", None, false, |s, w| Mockingjay::new(s, w) },
+        entry! { "ptp", Some("lru"), false, |s, w| Ptp::new(s, w) },
+        entry! { "tdrrip", Some("srrip"), false, |s, w| Tdrrip::new(s, w, REGISTRY_SEED) },
+        entry! { "xptp", Some("lru"), false, |s, w| Xptp::new(s, w, xptp_params_for(w)) },
+        entry! { "xptp/lru", Some("lru"), false, |s, w| AdaptiveXptp::new(s, w, xptp_params_for(w), XptpSwitch::new()) },
+        entry! { "xptp+emissary", Some("lru"), false, |s, w| XptpEmissary::new(s, w, xptp_params_for(w)) },
     ]
 }
 
 /// Every TLB replacement policy in the workspace.
 pub fn tlb_policies() -> Vec<PolicyEntry<TlbMeta>> {
     vec![
-        PolicyEntry {
-            name: "lru",
-            baseline: None,
-            pow2_ways_only: false,
-            build: |s, w| Box::new(Lru::new(s, w)),
-            build_engine: |s, w| Lru::new(s, w).into(),
-        },
-        PolicyEntry {
-            name: "tree-plru",
-            baseline: None,
-            pow2_ways_only: true,
-            build: |s, w| Box::new(TreePlru::new(s, w)),
-            build_engine: |s, w| TreePlru::new(s, w).into(),
-        },
-        PolicyEntry {
-            name: "random",
-            baseline: None,
-            pow2_ways_only: false,
-            build: |_, w| Box::new(RandomEvict::new(w, REGISTRY_SEED)),
-            build_engine: |_, w| RandomEvict::new(w, REGISTRY_SEED).into(),
-        },
-        PolicyEntry {
-            name: "chirp",
-            baseline: Some("lru"),
-            pow2_ways_only: false,
-            build: |s, w| Box::new(Chirp::new(s, w)),
-            build_engine: |s, w| Chirp::new(s, w).into(),
-        },
-        PolicyEntry {
-            name: "prob-keep-instr-lru",
-            baseline: Some("lru"),
-            pow2_ways_only: false,
-            build: |s, w| Box::new(ProbKeepInstrLru::new(s, w, 0.5, REGISTRY_SEED)),
-            build_engine: |s, w| ProbKeepInstrLru::new(s, w, 0.5, REGISTRY_SEED).into(),
-        },
-        PolicyEntry {
-            name: "itp",
-            baseline: Some("lru"),
-            pow2_ways_only: false,
-            build: |s, w| Box::new(Itp::new(s, w, itp_params_for(w))),
-            build_engine: |s, w| Itp::new(s, w, itp_params_for(w)).into(),
-        },
+        entry! { "lru", None, false, |s, w| Lru::new(s, w) },
+        entry! { "tree-plru", None, true, |s, w| TreePlru::new(s, w) },
+        entry! { "random", None, false, |_, w| RandomEvict::new(w, REGISTRY_SEED) },
+        entry! { "chirp", Some("lru"), false, |s, w| Chirp::new(s, w) },
+        entry! { "prob-keep-instr-lru", Some("lru"), false, |s, w| ProbKeepInstrLru::new(s, w, 0.5, REGISTRY_SEED) },
+        entry! { "itp", Some("lru"), false, |s, w| Itp::new(s, w, itp_params_for(w)) },
     ]
 }
 

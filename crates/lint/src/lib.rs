@@ -2,8 +2,8 @@
 //!
 //! `cargo xtask analyze` drives [`run`], which parses every linted source
 //! file into a syntax model (lexer → token trees → items, in-tree for the
-//! same reason the workspace carries `proptest-shim`/`criterion-shim`: no
-//! registry access, so the parser is the offline analogue of `syn`),
+//! same reason the workspace carries `proptest-shim`: no registry access,
+//! so the parser is the offline analogue of `syn`),
 //! resolves `#[cfg(test)]` scopes structurally, and applies:
 //!
 //! * the six determinism rules ported from the retired regex scanner
@@ -25,7 +25,6 @@
 pub mod annotations;
 pub mod ast;
 pub mod hot;
-pub mod legacy;
 pub mod lexer;
 pub mod rules;
 

@@ -1,11 +1,7 @@
-//! Cross-checks between the AST engine, the retired regex engine, and the
-//! tree as committed.
-//!
-//! The port's contract is "same rules, fewer lies": on a tree that is
-//! clean under the AST engine (after `itpx-allow` filtering), the legacy
-//! regex scanner must agree for the six rules it implemented — any
-//! disagreement is either a regex false positive the port fixed (belongs
-//! in `tests/fixtures/`, not here) or an AST-engine regression.
+//! The AST engine against the tree as committed: the tree must analyze
+//! clean, over a file set and hot-path call graph of pinned breadth. The
+//! retired regex engine's false positives and negatives stay pinned by
+//! the fixture corpus in `tests/fixtures/`.
 
 use std::path::{Path, PathBuf};
 
@@ -36,48 +32,4 @@ fn ast_engine_reports_a_clean_tree() {
     // "pass"; pin the breadth of the run.
     assert!(report.files_scanned >= 90, "file set collapsed");
     assert!(report.hot_fns >= 150, "hot-path call graph collapsed");
-}
-
-#[test]
-fn legacy_regex_engine_agrees_on_the_current_tree() {
-    let root = repo_root();
-    let mut checked = 0usize;
-    let mut disagreements = Vec::new();
-    for krate in itpx_lint::LINTED_CRATES {
-        let src = root.join("crates").join(krate).join("src");
-        let mut files = Vec::new();
-        collect_rs(&src, &mut files);
-        for file in files {
-            let text = std::fs::read_to_string(&file).expect("source reads");
-            let rel = file
-                .strip_prefix(&root)
-                .expect("under root")
-                .to_string_lossy()
-                .replace('\\', "/");
-            for f in itpx_lint::legacy::lint_source(&rel, &text) {
-                disagreements.push(format!("  {rel}:{}: [{}] {}", f.line, f.rule, f.excerpt));
-            }
-            checked += 1;
-        }
-    }
-    assert!(checked >= 60, "file set collapsed");
-    assert!(
-        disagreements.is_empty(),
-        "legacy regex engine disagrees with the clean AST verdict:\n{}",
-        disagreements.join("\n")
-    );
-}
-
-fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
-    };
-    for entry in entries.flatten() {
-        let path = entry.path();
-        if path.is_dir() {
-            collect_rs(&path, out);
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
-        }
-    }
 }
