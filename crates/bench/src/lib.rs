@@ -19,7 +19,7 @@
 //!   appenders, size-capped pruning (`ITPX_SIMCACHE_MAX_MB`).
 //! * [`serve`] — a dependency-free HTTP/1.1 server (`itpx-serve` binary)
 //!   that serves warm campaign results and schedules cold ones.
-//! * [`env`] — validated parsing of the `ITPX_*` variables (junk values
+//! * [`env`](mod@env) — validated parsing of the `ITPX_*` variables (junk values
 //!   warn once instead of being silently ignored).
 //! * [`figures`] — one report builder per figure, all driven by a shared
 //!   [`campaign::Campaign`].

@@ -55,7 +55,7 @@ const FF_WARM_CAP: u64 = 250_000;
 ///
 /// A run is a schedule of segments: [`Tier::FastForward`] advances
 /// program state through the functional machine at ~7× cycle-model speed
-/// (plus the free skip beyond [`FF_WARM_CAP`]), and [`Tier::Window`]
+/// (plus the free skip beyond its warm-state cap of 250k instructions), and [`Tier::Window`]
 /// measures cycle-accurately. [`Tier::segments`] lowers a
 /// [`TierSchedule`] into this form.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

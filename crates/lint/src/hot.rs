@@ -259,7 +259,8 @@ const GROW_METHODS: &[&str] = &[
     "push_str",
 ];
 
-/// Std collection type names that own heap storage.
+/// Std collection type names that own heap storage, plus
+/// `itpx_types::FxHashMap` (a `HashMap` under another name).
 const STD_COLLECTIONS: &[&str] = &[
     "Vec",
     "VecDeque",
@@ -269,6 +270,7 @@ const STD_COLLECTIONS: &[&str] = &[
     "HashMap",
     "HashSet",
     "BinaryHeap",
+    "FxHashMap",
 ];
 
 /// Integer types narrower than the address/cycle width.

@@ -357,8 +357,8 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 /// The `alloc_witness` integration test declares
 /// `#[global_allocator] static A: CountingAllocator = …`, warms every
 /// registered policy through its engine, snapshots the counters with
-/// [`CountingAllocator::snapshot`], drives 100k further accesses, and
-/// asserts the counts did not move. The static analyzer claims the hot
+/// [`CountingAllocator::snapshot`](alloc_witness::CountingAllocator::snapshot),
+/// drives 100k further accesses, and asserts the counts did not move. The static analyzer claims the hot
 /// path cannot allocate; this proves the claim on the machine code that
 /// actually ran, macros, std internals, and all.
 pub mod alloc_witness {

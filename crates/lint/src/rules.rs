@@ -203,7 +203,7 @@ pub fn ty_base(ty: &str) -> Option<&str> {
     })
 }
 
-const HASH_TYPES: &[&str] = &["HashMap", "HashSet"];
+const HASH_TYPES: &[&str] = &["HashMap", "HashSet", "FxHashMap"];
 
 /// Iteration methods whose order depends on the hasher.
 const ITER_METHODS: &[&str] = &[
@@ -217,9 +217,9 @@ const ITER_METHODS: &[&str] = &[
     "retain",
 ];
 
-/// `map-iter`: iteration over a `HashMap`/`HashSet`. Tracks identifiers
-/// bound to hash types through struct fields, fn params, and `let`
-/// bindings, then flags order-dependent traversals of them.
+/// `map-iter`: iteration over a `HashMap`/`HashSet`/`FxHashMap`. Tracks
+/// identifiers bound to hash types through struct fields, fn params, and
+/// `let` bindings, then flags order-dependent traversals of them.
 pub fn scan_map_iter(ast: &FileAst) -> Vec<RawFinding> {
     let mut tracked: Vec<&str> = Vec::new();
     for f in &ast.fields {

@@ -7,6 +7,8 @@
 //! * [`access`] — classification of memory traffic ([`AccessKind`],
 //!   [`TranslationKind`], [`FillClass`]): the distinctions the paper's
 //!   policies key on (instruction vs data, payload vs page-table entry).
+//! * [`fxhash`] — a deterministic multiply-rotate hasher ([`FxHashMap`])
+//!   for the simulator's integer-keyed maps.
 //! * [`grid`] — flat set-associative storage ([`SetGrid`]) and
 //!   power-of-two mask set selection ([`SetMask`]), the shared data
 //!   layout for tag arrays, policy metadata, and predictor tables.
@@ -33,6 +35,7 @@
 pub mod access;
 pub mod addr;
 pub mod fingerprint;
+pub mod fxhash;
 pub mod grid;
 pub mod mshr;
 pub mod page;
@@ -42,6 +45,7 @@ pub mod stats;
 pub use access::{AccessKind, FillClass, TranslationKind};
 pub use addr::{BlockAddr, PhysAddr, VirtAddr, Vpn, BLOCK_BYTES, BLOCK_SHIFT};
 pub use fingerprint::{Fingerprint, Fnv1a};
+pub use fxhash::FxHashMap;
 pub use grid::{SetGrid, SetMask};
 pub use mshr::SlotPool;
 pub use page::PageSize;

@@ -1,10 +1,12 @@
 //! A fixed-capacity slot pool for lazily-cleaned MSHR models.
 //!
-//! The cache and TLB miss-status tables track a small set of outstanding
-//! misses: entries are inserted at fill/allocate time and expire when the
-//! simulated clock passes their completion cycle. The previous
-//! implementations used `Vec::retain` (compacting move per expiry) and
-//! `BTreeMap` (node allocation per miss) on the hottest simulator paths.
+//! The TLB miss-status table tracks a small set of outstanding misses
+//! keyed by page: entries are inserted at allocate time and expire when
+//! the simulated clock passes their completion cycle. (Caches keep only
+//! completion times, with no key to look up, and use a min-heap instead:
+//! see `itpx_mem::Cache`.) The previous implementations used
+//! `Vec::retain` (compacting move per expiry) and `BTreeMap` (node
+//! allocation per miss) on the hottest simulator paths.
 //!
 //! [`SlotPool`] replaces both: a boxed-once array of `Option<T>` slots
 //! sized to the MSHR capacity. Expiry tombstones a slot in place and
@@ -16,7 +18,7 @@
 //!
 //! Slot order is a deterministic function of the insert/expire history, so
 //! simulations using it are exactly reproducible; consumers must not
-//! derive *decisions* from slot order alone (the cache/TLB users only take
+//! derive *decisions* from slot order alone (the TLB only takes
 //! order-insensitive views: counts, minima, and key lookups).
 
 /// Fixed-capacity pool of live entries with in-place expiry.

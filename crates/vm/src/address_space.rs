@@ -15,8 +15,7 @@
 //! [`Asid::KERNEL`] — byte-identical to pre-multi-tenant behavior.
 
 use crate::page_table::{HugePagePolicy, PageTable, Translation};
-use itpx_types::{Asid, PageSize, Rng64, TranslationKind, VirtAddr};
-use std::collections::HashMap;
+use itpx_types::{Asid, FxHashMap, PageSize, Rng64, TranslationKind, VirtAddr};
 
 /// Physical-region stride separating tenant address spaces: each tenant's
 /// frames, huge frames, and page-table nodes land in a disjoint window.
@@ -45,7 +44,7 @@ pub struct AddressSpace {
     global_seed: u64,
     /// Global/private decision per 2 MiB region, cached at first touch
     /// (the decision itself is a pure function of region and seed).
-    region_global: HashMap<u64, bool>,
+    region_global: FxHashMap<u64, bool>,
     /// The tenant lookups currently translate under.
     current: Asid,
 }
@@ -61,7 +60,7 @@ impl AddressSpace {
             shared: None,
             global_fraction: 0.0,
             global_seed: 0,
-            region_global: HashMap::new(),
+            region_global: FxHashMap::default(),
             current: Asid::KERNEL,
         }
     }
@@ -106,7 +105,7 @@ impl AddressSpace {
             shared,
             global_fraction,
             global_seed,
-            region_global: HashMap::new(),
+            region_global: FxHashMap::default(),
             current: Asid::KERNEL,
         }
     }

@@ -13,8 +13,7 @@
 //! blocks spread over cache sets as they would on a long-lived server.
 
 use itpx_types::fingerprint::{Fingerprint, Fnv1a};
-use itpx_types::{Asid, PageSize, PhysAddr, Rng64, TranslationKind, VirtAddr};
-use std::collections::HashMap;
+use itpx_types::{Asid, FxHashMap, PageSize, PhysAddr, Rng64, TranslationKind, VirtAddr};
 
 /// Number of tree levels (x86-64 5-level paging: PML5 → PT).
 pub const LEVELS: u8 = 5;
@@ -243,13 +242,13 @@ pub struct PageTable {
     allocator: FrameAllocator,
     huge: HugePagePolicy,
     /// (level, vpn_prefix) → node frame base.
-    nodes: HashMap<(u8, u64), PhysAddr>,
+    nodes: FxHashMap<(u8, u64), PhysAddr>,
     /// 4 KiB leaf mappings: vpn4k → frame.
-    map4k: HashMap<u64, PhysAddr>,
+    map4k: FxHashMap<u64, PhysAddr>,
     /// 2 MiB leaf mappings: vpn2m → frame.
-    map2m: HashMap<u64, PhysAddr>,
+    map2m: FxHashMap<u64, PhysAddr>,
     /// Huge/base decision per 2 MiB region, fixed at first touch.
-    region_huge: HashMap<u64, bool>,
+    region_huge: FxHashMap<u64, bool>,
 }
 
 impl PageTable {
@@ -264,10 +263,10 @@ impl PageTable {
         Self {
             allocator: FrameAllocator::with_region_offset(24, seed, region_offset),
             huge,
-            nodes: HashMap::new(),
-            map4k: HashMap::new(),
-            map2m: HashMap::new(),
-            region_huge: HashMap::new(),
+            nodes: FxHashMap::default(),
+            map4k: FxHashMap::default(),
+            map2m: FxHashMap::default(),
+            region_huge: FxHashMap::default(),
         }
     }
 

@@ -99,9 +99,10 @@ pub enum TlbLookup {
 /// One set-associative TLB level.
 ///
 /// Entry storage is a single flat slice indexed by `set * ways + way` with
-/// per-set validity bitmasks, mirroring [`itpx_mem`]'s cache layout: TLB
-/// probes run on every simulated memory reference, and the flat layout
-/// removes the nested-`Vec` double indirection on that path.
+/// per-set validity bitmasks: TLB probes run on every simulated memory
+/// reference, and the flat layout removes the nested-`Vec` double
+/// indirection on that path. Unlike `itpx_mem::Cache`, which keeps its
+/// tags apart from line state, an entry keeps its tag beside its payload.
 #[derive(Debug)]
 pub struct Tlb {
     cfg: TlbConfig,
